@@ -255,12 +255,11 @@ fn fault_injection_via_agent_op() {
     .unwrap();
     o.poll();
     // The port doc for link 0 carries the failure.
-    let docs = o.registry.ids_of_type("#Port.");
-    let bad: Vec<_> = docs
-        .iter()
-        .filter(|id| o.registry.get(id).unwrap().body["LinkState"] == "Disabled")
-        .collect();
-    assert_eq!(bad.len(), 1);
+    let bad = o.registry.view(|v| {
+        let [ports] = v.by_type(["#Port."]);
+        ports.iter().filter(|(_, s)| s.body["LinkState"] == "Disabled").count()
+    });
+    assert_eq!(bad, 1);
     // Unparseable description rejected.
     assert!(o
         .apply(

@@ -475,14 +475,20 @@ impl Composer {
             }
         };
         // The materialized resource is what the connection references.
-        let conn_body = self.ofmf.registry.get(&connection)?.body;
-        // ofmf-lint: allow(no-panic-path, "Value usize indexing is total; out-of-range yields Null")
-        let resource = conn_body["MemoryChunkInfo"][0]["Resource"]["@odata.id"]
-            .as_str()
-            // ofmf-lint: allow(no-panic-path, "Value usize indexing is total; out-of-range yields Null")
-            .or_else(|| conn_body["VolumeInfo"][0]["Resource"]["@odata.id"].as_str())
-            .or_else(|| conn_body["Oem"]["OFMF"]["Resource"]["@odata.id"].as_str())
-            .map(ODataId::new)
+        let resource = self
+            .ofmf
+            .registry
+            .view(|v| {
+                let conn_body = &v.get(&connection)?.body;
+                // ofmf-lint: allow(no-panic-path, "Value usize indexing is total; out-of-range yields Null")
+                let linked = conn_body["MemoryChunkInfo"][0]["Resource"]["@odata.id"]
+                    .as_str()
+                    // ofmf-lint: allow(no-panic-path, "Value usize indexing is total; out-of-range yields Null")
+                    .or_else(|| conn_body["VolumeInfo"][0]["Resource"]["@odata.id"].as_str())
+                    .or_else(|| conn_body["Oem"]["OFMF"]["Resource"]["@odata.id"].as_str());
+                Some(linked.map(ODataId::new))
+            })
+            .ok_or_else(|| RedfishError::NotFound(connection.clone()))?
             .unwrap_or_else(|| target_ep.clone());
         // The new reservation moved this fabric's residuals: cached probe
         // scores for it are stale.
@@ -547,25 +553,10 @@ impl Composer {
     /// mitigation path). Creates an additional binding; existing ones are
     /// untouched, so the running job never loses memory.
     pub fn grow_memory(&self, system: &ODataId, extra_mib: u64) -> RedfishResult<Binding> {
-        let (node_endpoints, _node) = {
-            let state = self.state.lock();
-            let c = state
-                .get(system)
-                .ok_or_else(|| RedfishError::NotFound(system.clone()))?;
-            let inv_node = Inventory::scan(&self.ofmf, &[])
-                .compute
-                .into_iter()
-                .chain(std::iter::empty())
-                .find(|n| n.system == c.node);
-            // The node is bound (excluded from the free list), so rebuild
-            // its endpoint map directly from the tree.
-            let endpoints = match inv_node {
-                Some(n) => n.endpoints,
-                None => Self::endpoints_of(&self.ofmf, &c.node),
-            };
-            (endpoints, c.node.clone())
-        };
-        let inv = Inventory::scan(&self.ofmf, &[]);
+        let (node, qos) = self.node_and_qos(system, |r| r.memory_bandwidth_gbps)?;
+        // The node is bound (excluded from the free list), so its endpoint
+        // map comes from the same snapshot as the pools.
+        let (inv, node_endpoints) = Inventory::scan_for_node(&self.ofmf, &node);
         let eligible: Vec<crate::inventory::MemoryPool> = inv
             .memory
             .iter()
@@ -588,13 +579,6 @@ impl Composer {
             .get(&pool.fabric)
             .ok_or_else(|| RedfishError::Internal("node lost its fabric endpoint".into()))?
             .clone();
-        let qos = {
-            let state = self.state.lock();
-            state
-                .get(system)
-                .map(|c| c.request.memory_bandwidth_gbps)
-                .unwrap_or(0.0)
-        };
         let zone_id = self.ofmf.next_member_id("z");
         let conn_id = self.ofmf.next_member_id("c");
         let binding = self.bind(
@@ -611,19 +595,16 @@ impl Composer {
             system: system.as_str().to_string(),
             binding: binding.to_value(),
         });
+        let node_gib = self
+            .ofmf
+            .registry
+            .view(|v| v.get(&node)?.body["MemorySummary"]["TotalSystemMemoryGiB"].as_u64());
         let mut state = self.state.lock();
         let c = state
             .get_mut(system)
             .ok_or_else(|| RedfishError::NotFound(system.clone()))?;
         c.bindings.push(binding.clone());
-        let node_gib = self
-            .ofmf
-            .registry
-            .get(&c.node)
-            .ok()
-            .and_then(|s| s.body["MemorySummary"]["TotalSystemMemoryGiB"].as_u64())
-            .unwrap_or(c.request.local_memory_gib);
-        let new_total = node_gib + c.bound_memory_mib() / 1024;
+        let new_total = node_gib.unwrap_or(c.request.local_memory_gib) + c.bound_memory_mib() / 1024;
         drop(state);
         let _ = self.ofmf.registry.patch(
             system,
@@ -643,15 +624,8 @@ impl Composer {
     /// Attach additional fabric storage to a running composition (the I/O
     /// thrash mitigation path).
     pub fn attach_storage(&self, system: &ODataId, bytes: u64) -> RedfishResult<Binding> {
-        let node = {
-            let state = self.state.lock();
-            let c = state
-                .get(system)
-                .ok_or_else(|| RedfishError::NotFound(system.clone()))?;
-            c.node.clone()
-        };
-        let node_endpoints = Self::endpoints_of(&self.ofmf, &node);
-        let inv = Inventory::scan(&self.ofmf, &[]);
+        let (node, qos) = self.node_and_qos(system, |r| r.storage_bandwidth_gbps)?;
+        let (inv, node_endpoints) = Inventory::scan_for_node(&self.ofmf, &node);
         let (chosen, skipped) = choose_storage_with(
             &self.prober,
             self.strategy,
@@ -668,13 +642,6 @@ impl Composer {
             .get(&pool.fabric)
             .ok_or_else(|| RedfishError::Internal("node lost its fabric endpoint".into()))?
             .clone();
-        let qos = {
-            let state = self.state.lock();
-            state
-                .get(system)
-                .map(|c| c.request.storage_bandwidth_gbps)
-                .unwrap_or(0.0)
-        };
         let zone_id = self.ofmf.next_member_id("z");
         let conn_id = self.ofmf.next_member_id("c");
         let binding = self.bind(
@@ -722,26 +689,18 @@ impl Composer {
             .patch(system, &json!({"Links": {"ResourceBlocks": links}}), None);
     }
 
-    /// Rebuild the fabric-endpoint map of a node from the tree.
-    fn endpoints_of(ofmf: &Ofmf, node: &ODataId) -> BTreeMap<String, ODataId> {
-        let mut out = BTreeMap::new();
-        for ep_id in ofmf.registry.ids_of_type("#Endpoint.") {
-            let Ok(stored) = ofmf.registry.get(&ep_id) else {
-                continue;
-            };
-            let Some(entities) = stored.body["ConnectedEntities"].as_array() else {
-                continue;
-            };
-            let is_ours = entities.iter().any(|e| {
-                e["EntityRole"] == "Initiator" && e["EntityLink"]["@odata.id"].as_str() == Some(node.as_str())
-            });
-            if is_ours {
-                if let Some(f) = redfish_model::path::fabric_id_of(ep_id.as_str()) {
-                    out.insert(f.to_string(), ep_id.clone());
-                }
-            }
-        }
-        out
+    /// The physical node of a composition and the QoS its request asked
+    /// for, read under the state lock (released before any tree read).
+    fn node_and_qos(
+        &self,
+        system: &ODataId,
+        qos: impl Fn(&CompositionRequest) -> f64,
+    ) -> RedfishResult<(ODataId, f64)> {
+        let state = self.state.lock();
+        let c = state
+            .get(system)
+            .ok_or_else(|| RedfishError::NotFound(system.clone()))?;
+        Ok((c.node.clone(), qos(&c.request)))
     }
 
     // ------------------------------------------------------------ reconcile

@@ -171,11 +171,9 @@ pub fn wake_backing(composer: &Composer, target_endpoint: &ODataId) -> bool {
     let ofmf = composer.ofmf();
     let device = ofmf
         .registry
-        .get(target_endpoint)
-        .ok()
-        .and_then(|s| {
+        .view(|v| {
             // ofmf-lint: allow(no-panic-path, "Value usize indexing is total; out-of-range yields Null")
-            s.body["ConnectedEntities"][0]["EntityLink"]["@odata.id"]
+            v.get(target_endpoint)?.body["ConnectedEntities"][0]["EntityLink"]["@odata.id"]
                 .as_str()
                 .map(ODataId::new)
         })

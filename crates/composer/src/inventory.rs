@@ -2,12 +2,15 @@
 //!
 //! The inventory is recomputed on demand from the registry (the tree is the
 //! single source of truth — what an agent published is what exists), then
-//! adjusted by the composer's own assignment records.
+//! adjusted by the composer's own assignment records. One scan is one pass
+//! over a borrowed [`View`] of the tree: a consistent snapshot, and no
+//! document is cloned.
 
 use ofmf_core::Ofmf;
 use redfish_model::odata::ODataId;
+use redfish_model::{StoredResource, View};
 use serde_json::Value;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A compute node available for composition.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,7 +69,7 @@ pub struct StoragePoolView {
 }
 
 /// Snapshot of every composable pool.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Inventory {
     /// Free compute nodes (systems not yet bound to a composition).
     pub compute: Vec<ComputePool>,
@@ -81,40 +84,69 @@ pub struct Inventory {
 /// Whether `id` or any of its ancestors reports `UnavailableOffline`
 /// (agents mark the failed *device* resource — e.g. the chassis of a dead
 /// memory appliance — so pool resources underneath inherit the state).
-fn offline(reg: &redfish_model::Registry, id: &ODataId) -> bool {
+fn offline(v: &View<'_>, id: &ODataId) -> bool {
     let mut cur = Some(id.clone());
     while let Some(c) = cur {
-        if let Ok(stored) = reg.get(&c) {
-            if stored.body["Status"]["State"].as_str() == Some("UnavailableOffline") {
-                return true;
-            }
+        if v.get(&c)
+            .is_some_and(|s| s.body["Status"]["State"].as_str() == Some("UnavailableOffline"))
+        {
+            return true;
         }
         cur = c.parent();
     }
     false
 }
 
-impl Inventory {
-    /// Scan the tree. `bound_systems` are systems the composer already
-    /// assigned (excluded from the free compute list).
-    pub fn scan(ofmf: &Ofmf, bound_systems: &[ODataId]) -> Inventory {
-        let reg = &ofmf.registry;
-        let mut inv = Inventory::default();
+/// Σ `field` over the members of the collection at `col` (0 when `col` is
+/// missing or not a collection).
+fn sum_members(v: &View<'_>, col: &ODataId, field: &str) -> u64 {
+    let Some(members) = v
+        .get(col)
+        .filter(|c| c.is_collection)
+        .and_then(|c| c.body["Members"].as_array())
+    else {
+        return 0;
+    };
+    members
+        .iter()
+        .filter_map(|m| m["@odata.id"].as_str())
+        .filter_map(|m| v.get(&ODataId::new(m)))
+        .filter_map(|s| s.body.get(field).and_then(Value::as_u64))
+        .sum()
+}
 
-        // Endpoints by the device they front; also classify roles.
-        // endpoint doc → (fabric, entity link, role)
-        let mut target_eps: BTreeMap<ODataId, (String, ODataId)> = BTreeMap::new();
-        let mut initiator_eps: BTreeMap<ODataId, (String, ODataId)> = BTreeMap::new();
-        for ep_id in reg.ids_of_type("#Endpoint.") {
-            let Ok(stored) = reg.get(&ep_id) else { continue };
-            let fabric = redfish_model::path::fabric_id_of(ep_id.as_str())
-                .unwrap_or_default()
-                .to_string();
+/// `link` compared the way [`ODataId::new`] would normalize it.
+fn normalized(link: &str) -> &str {
+    match link.trim_end_matches('/') {
+        "" if !link.is_empty() => "/",
+        t => t,
+    }
+}
+
+/// Who fronts what, indexed from the endpoints of one view. Per endpoint,
+/// the last `Initiator` entity names the node it belongs to and the last
+/// other entity names the device it fronts.
+struct EndpointIndex<'v> {
+    /// Device resource → (fabric, endpoint) of the first endpoint in path
+    /// order fronting it.
+    target: HashMap<&'v str, (&'v str, &'v ODataId)>,
+    /// Node → fabric → its initiator endpoint (the last in path order wins).
+    initiators: HashMap<&'v str, BTreeMap<&'v str, &'v ODataId>>,
+}
+
+impl<'v> EndpointIndex<'v> {
+    fn new(endpoints: &[(&'v ODataId, &'v StoredResource)]) -> Self {
+        let mut idx = EndpointIndex {
+            target: HashMap::new(),
+            initiators: HashMap::new(),
+        };
+        for &(ep, stored) in endpoints {
             let Some(entities) = stored.body.get("ConnectedEntities").and_then(Value::as_array) else {
                 continue;
             };
+            let fabric = redfish_model::path::fabric_id_of(ep.as_str()).unwrap_or_default();
+            let (mut initiator, mut target) = (None, None);
             for ent in entities {
-                let role = ent.get("EntityRole").and_then(Value::as_str).unwrap_or("");
                 let Some(link) = ent
                     .get("EntityLink")
                     .and_then(|l| l.get("@odata.id"))
@@ -122,67 +154,104 @@ impl Inventory {
                 else {
                     continue;
                 };
-                let link = ODataId::new(link);
-                if role == "Initiator" {
-                    initiator_eps.insert(ep_id.clone(), (fabric.clone(), link));
+                if ent.get("EntityRole").and_then(Value::as_str) == Some("Initiator") {
+                    initiator = Some(normalized(link));
                 } else {
-                    target_eps.insert(ep_id.clone(), (fabric.clone(), link));
+                    target = Some(normalized(link));
                 }
             }
+            if let Some(node) = initiator {
+                idx.initiators.entry(node).or_default().insert(fabric, ep);
+            }
+            if let Some(device) = target {
+                idx.target.entry(device).or_insert((fabric, ep));
+            }
         }
+        idx
+    }
+
+    /// Fabric endpoints of `node`: fabric id → endpoint.
+    fn endpoints_of(&self, node: &ODataId) -> BTreeMap<String, ODataId> {
+        self.initiators
+            .get(node.as_str())
+            .into_iter()
+            .flatten()
+            .map(|(fabric, ep)| (fabric.to_string(), (*ep).clone()))
+            .collect()
+    }
+
+    /// `(fabric, endpoint)` fronting `device`.
+    fn target_of(&self, device: &ODataId) -> Option<(String, ODataId)> {
+        self.target
+            .get(device.as_str())
+            .map(|(fabric, ep)| (fabric.to_string(), (*ep).clone()))
+    }
+}
+
+impl Inventory {
+    /// Scan the tree. `bound_systems` are systems the composer already
+    /// assigned (excluded from the free compute list).
+    pub fn scan(ofmf: &Ofmf, bound_systems: &[ODataId]) -> Inventory {
+        ofmf.registry.view(|v| Inventory::read(v, bound_systems).0)
+    }
+
+    /// [`Inventory::scan`] with no system excluded, plus the fabric
+    /// endpoints of `node` (bound or not), both read from one snapshot.
+    pub fn scan_for_node(ofmf: &Ofmf, node: &ODataId) -> (Inventory, BTreeMap<String, ODataId>) {
+        ofmf.registry.view(|v| {
+            let (inv, eps) = Inventory::read(v, &[]);
+            (inv, eps.endpoints_of(node))
+        })
+    }
+
+    /// Build the inventory in one pass over `v`; also returns the endpoint
+    /// index it was built with.
+    fn read<'v>(v: &'v View<'_>, bound_systems: &[ODataId]) -> (Inventory, EndpointIndex<'v>) {
+        let [endpoints, systems, domains, processors, pools] = v.by_type([
+            "#Endpoint.",
+            "#ComputerSystem.",
+            "#MemoryDomain.",
+            "#Processor.",
+            "#StoragePool.",
+        ]);
+        let eps = EndpointIndex::new(&endpoints);
+        let mut inv = Inventory::default();
 
         // Compute nodes: physical systems not bound.
-        for sys_id in reg.ids_of_type("#ComputerSystem.") {
-            let Ok(stored) = reg.get(&sys_id) else { continue };
+        for (sys_id, stored) in systems {
             if stored.body.get("SystemType").and_then(Value::as_str) != Some("Physical") {
                 continue;
             }
-            if bound_systems.contains(&sys_id) {
+            if bound_systems.contains(sys_id) {
                 continue;
             }
             let state = stored.body["Status"]["State"].as_str().unwrap_or("Enabled");
             if state != "Enabled" && state != "StandbyOffline" {
                 continue;
             }
-            let cores = stored.body["ProcessorSummary"]["CoreCount"].as_u64().unwrap_or(0) as u32;
-            let memory_gib = stored.body["MemorySummary"]["TotalSystemMemoryGiB"]
-                .as_u64()
-                .unwrap_or(0);
-            let endpoints: BTreeMap<String, ODataId> = initiator_eps
-                .iter()
-                .filter(|(_, (_, link))| link == &sys_id)
-                .map(|(ep, (fabric, _))| (fabric.clone(), ep.clone()))
-                .collect();
             inv.compute.push(ComputePool {
-                system: sys_id,
-                cores,
-                memory_gib,
-                endpoints,
+                system: sys_id.clone(),
+                cores: stored.body["ProcessorSummary"]["CoreCount"].as_u64().unwrap_or(0) as u32,
+                memory_gib: stored.body["MemorySummary"]["TotalSystemMemoryGiB"]
+                    .as_u64()
+                    .unwrap_or(0),
+                endpoints: eps.endpoints_of(sys_id),
             });
         }
 
         // Fabric memory: each MemoryDomain, free = size - Σ chunk sizes.
-        for dom_id in reg.ids_of_type("#MemoryDomain.") {
-            let Ok(stored) = reg.get(&dom_id) else { continue };
-            if offline(reg, &dom_id) {
+        for (dom_id, stored) in domains {
+            if offline(v, dom_id) {
                 continue;
             }
-            let total = stored.body["MemorySizeMiB"].as_u64().unwrap_or(0);
-            let chunks_col = dom_id.child("MemoryChunks");
-            let used: u64 = reg
-                .members(&chunks_col)
-                .unwrap_or_default()
-                .iter()
-                .filter_map(|c| reg.get(c).ok())
-                .filter_map(|s| s.body["MemoryChunkSizeMiB"].as_u64())
-                .sum();
-            // The endpoint fronting this domain.
-            let Some((ep, (fabric, _))) = target_eps.iter().find(|(_, (_, link))| link == &dom_id) else {
+            let Some((fabric, endpoint)) = eps.target_of(dom_id) else {
                 continue;
             };
+            let total = stored.body["MemorySizeMiB"].as_u64().unwrap_or(0);
+            let used = sum_members(v, &dom_id.child("MemoryChunks"), "MemoryChunkSizeMiB");
             inv.memory.push(MemoryPool {
-                fabric: fabric.clone(),
-                endpoint: ep.clone(),
+                fabric,
+                endpoint,
                 domain: dom_id.clone(),
                 total_mib: total,
                 free_mib: total.saturating_sub(used),
@@ -190,18 +259,17 @@ impl Inventory {
         }
 
         // GPUs: processors of type GPU fronted by a target endpoint.
-        for proc_id in reg.ids_of_type("#Processor.") {
-            let Ok(stored) = reg.get(&proc_id) else { continue };
+        for (proc_id, stored) in processors {
             if stored.body.get("ProcessorType").and_then(Value::as_str) != Some("GPU") {
                 continue;
             }
-            let Some((ep, (fabric, _))) = target_eps.iter().find(|(_, (_, link))| link == &proc_id) else {
+            let Some((fabric, endpoint)) = eps.target_of(proc_id) else {
                 continue;
             };
-            let assigned = stored.body["Oem"]["OFMF"]["AssignedTo"].is_string() || offline(reg, &proc_id);
+            let assigned = stored.body["Oem"]["OFMF"]["AssignedTo"].is_string() || offline(v, proc_id);
             inv.gpus.push(GpuPool {
-                fabric: fabric.clone(),
-                endpoint: ep.clone(),
+                fabric,
+                endpoint,
                 processor: proc_id.clone(),
                 assigned,
             });
@@ -209,35 +277,29 @@ impl Inventory {
 
         // Storage pools: free = guaranteed − Σ volume capacities in the
         // owning service.
-        for pool_id in reg.ids_of_type("#StoragePool.") {
-            let Ok(stored) = reg.get(&pool_id) else { continue };
-            if offline(reg, &pool_id) {
+        for (pool_id, stored) in pools {
+            if offline(v, pool_id) {
                 continue;
             }
-            let total = stored.body["Capacity"]["GuaranteedBytes"].as_u64().unwrap_or(0);
             // /redfish/v1/StorageServices/{svc}/StoragePools/{pool}
-            let Some(pools_col) = pool_id.parent() else { continue };
-            let Some(svc) = pools_col.parent() else { continue };
-            let used: u64 = reg
-                .members(&svc.child("Volumes"))
-                .unwrap_or_default()
-                .iter()
-                .filter_map(|v| reg.get(v).ok())
-                .filter_map(|s| s.body["CapacityBytes"].as_u64())
-                .sum();
-            let Some((ep, (fabric, _))) = target_eps.iter().find(|(_, (_, link))| link == &pool_id) else {
+            let Some(svc) = pool_id.parent().and_then(|col| col.parent()) else {
                 continue;
             };
+            let Some((fabric, endpoint)) = eps.target_of(pool_id) else {
+                continue;
+            };
+            let total = stored.body["Capacity"]["GuaranteedBytes"].as_u64().unwrap_or(0);
+            let used = sum_members(v, &svc.child("Volumes"), "CapacityBytes");
             inv.storage.push(StoragePoolView {
-                fabric: fabric.clone(),
-                endpoint: ep.clone(),
+                fabric,
+                endpoint,
                 pool: pool_id.clone(),
                 total_bytes: total,
                 free_bytes: total.saturating_sub(used),
             });
         }
 
-        inv
+        (inv, eps)
     }
 
     /// Total free fabric memory across pools (MiB).

@@ -1,13 +1,17 @@
-//! Property tests: policy arithmetic, accounting bounds, and the composer's
-//! conservation law (compose ∘ decompose = identity on the inventory).
+//! Property tests: policy arithmetic, accounting bounds, the composer's
+//! conservation law (compose ∘ decompose = identity on the inventory), and
+//! the single-view inventory scan against a clone-per-id reference scan.
 
 use composer::accounting::{composable_outcome, heterogeneous_mix, static_outcome, PowerModel, StaticNodeShape};
-use composer::inventory::MemoryPool;
+use composer::inventory::{ComputePool, GpuPool, Inventory, MemoryPool, StoragePoolView};
 use composer::policy::PolicySet;
 use composer::{Composer, CompositionRequest, Strategy};
 use ofmf_agents::flavors::{cxl_agent, infiniband_agent, nvmeof_agent, RackShape};
 use proptest::prelude::*;
 use redfish_model::odata::ODataId;
+use redfish_model::Registry;
+use serde_json::{json, Value};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn demo_rig(seed: u64) -> DemoRig {
@@ -186,5 +190,263 @@ proptest! {
         prop_assert_eq!(before.free_gpus(), after.free_gpus());
         prop_assert_eq!(before.free_storage_bytes(), after.free_storage_bytes());
         prop_assert!(rig.ofmf.registry.dangling_links().is_empty());
+    }
+}
+
+// ------------------------------------------------- reference inventory scan
+//
+// The inventory as it was computed before the single-view scan: every
+// lookup is its own registry call and clones the document it reads. Kept
+// here only as the oracle the view-based `Inventory::scan` must equal.
+
+/// Ids whose `@odata.type` starts with `prefix`, in path order.
+fn oracle_ids_of_type(reg: &Registry, prefix: &str) -> Vec<ODataId> {
+    let mut out = Vec::new();
+    reg.for_each(|id, node| {
+        if node.odata_type().is_some_and(|ty| ty.starts_with(prefix)) {
+            out.push(id.clone());
+        }
+    });
+    out
+}
+
+fn oracle_offline(reg: &Registry, id: &ODataId) -> bool {
+    let mut cur = Some(id.clone());
+    while let Some(c) = cur {
+        if let Ok(stored) = reg.get(&c) {
+            if stored.body["Status"]["State"].as_str() == Some("UnavailableOffline") {
+                return true;
+            }
+        }
+        cur = c.parent();
+    }
+    false
+}
+
+fn oracle_scan(reg: &Registry, bound_systems: &[ODataId]) -> Inventory {
+    let mut inv = Inventory::default();
+    let mut target_eps: BTreeMap<ODataId, (String, ODataId)> = BTreeMap::new();
+    let mut initiator_eps: BTreeMap<ODataId, (String, ODataId)> = BTreeMap::new();
+    for ep_id in oracle_ids_of_type(reg, "#Endpoint.") {
+        let Ok(stored) = reg.get(&ep_id) else { continue };
+        let fabric = redfish_model::path::fabric_id_of(ep_id.as_str())
+            .unwrap_or_default()
+            .to_string();
+        let Some(entities) = stored.body.get("ConnectedEntities").and_then(Value::as_array) else {
+            continue;
+        };
+        for ent in entities {
+            let role = ent.get("EntityRole").and_then(Value::as_str).unwrap_or("");
+            let Some(link) = ent
+                .get("EntityLink")
+                .and_then(|l| l.get("@odata.id"))
+                .and_then(Value::as_str)
+            else {
+                continue;
+            };
+            let link = ODataId::new(link);
+            if role == "Initiator" {
+                initiator_eps.insert(ep_id.clone(), (fabric.clone(), link));
+            } else {
+                target_eps.insert(ep_id.clone(), (fabric.clone(), link));
+            }
+        }
+    }
+    let target_of = |res: &ODataId| target_eps.iter().find(|(_, (_, link))| link == res);
+
+    for sys_id in oracle_ids_of_type(reg, "#ComputerSystem.") {
+        let Ok(stored) = reg.get(&sys_id) else { continue };
+        if stored.body.get("SystemType").and_then(Value::as_str) != Some("Physical") {
+            continue;
+        }
+        if bound_systems.contains(&sys_id) {
+            continue;
+        }
+        let state = stored.body["Status"]["State"].as_str().unwrap_or("Enabled");
+        if state != "Enabled" && state != "StandbyOffline" {
+            continue;
+        }
+        let endpoints: BTreeMap<String, ODataId> = initiator_eps
+            .iter()
+            .filter(|(_, (_, link))| link == &sys_id)
+            .map(|(ep, (fabric, _))| (fabric.clone(), ep.clone()))
+            .collect();
+        inv.compute.push(ComputePool {
+            system: sys_id,
+            cores: stored.body["ProcessorSummary"]["CoreCount"].as_u64().unwrap_or(0) as u32,
+            memory_gib: stored.body["MemorySummary"]["TotalSystemMemoryGiB"]
+                .as_u64()
+                .unwrap_or(0),
+            endpoints,
+        });
+    }
+
+    for dom_id in oracle_ids_of_type(reg, "#MemoryDomain.") {
+        let Ok(stored) = reg.get(&dom_id) else { continue };
+        if oracle_offline(reg, &dom_id) {
+            continue;
+        }
+        let total = stored.body["MemorySizeMiB"].as_u64().unwrap_or(0);
+        let used: u64 = reg
+            .members(&dom_id.child("MemoryChunks"))
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|c| reg.get(c).ok())
+            .filter_map(|s| s.body["MemoryChunkSizeMiB"].as_u64())
+            .sum();
+        let Some((ep, (fabric, _))) = target_of(&dom_id) else {
+            continue;
+        };
+        inv.memory.push(MemoryPool {
+            fabric: fabric.clone(),
+            endpoint: ep.clone(),
+            domain: dom_id.clone(),
+            total_mib: total,
+            free_mib: total.saturating_sub(used),
+        });
+    }
+
+    for proc_id in oracle_ids_of_type(reg, "#Processor.") {
+        let Ok(stored) = reg.get(&proc_id) else { continue };
+        if stored.body.get("ProcessorType").and_then(Value::as_str) != Some("GPU") {
+            continue;
+        }
+        let Some((ep, (fabric, _))) = target_of(&proc_id) else {
+            continue;
+        };
+        let assigned = stored.body["Oem"]["OFMF"]["AssignedTo"].is_string() || oracle_offline(reg, &proc_id);
+        inv.gpus.push(GpuPool {
+            fabric: fabric.clone(),
+            endpoint: ep.clone(),
+            processor: proc_id.clone(),
+            assigned,
+        });
+    }
+
+    for pool_id in oracle_ids_of_type(reg, "#StoragePool.") {
+        let Ok(stored) = reg.get(&pool_id) else { continue };
+        if oracle_offline(reg, &pool_id) {
+            continue;
+        }
+        let total = stored.body["Capacity"]["GuaranteedBytes"].as_u64().unwrap_or(0);
+        let Some(pools_col) = pool_id.parent() else { continue };
+        let Some(svc) = pools_col.parent() else { continue };
+        let used: u64 = reg
+            .members(&svc.child("Volumes"))
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|v| reg.get(v).ok())
+            .filter_map(|s| s.body["CapacityBytes"].as_u64())
+            .sum();
+        let Some((ep, (fabric, _))) = target_of(&pool_id) else {
+            continue;
+        };
+        inv.storage.push(StoragePoolView {
+            fabric: fabric.clone(),
+            endpoint: ep.clone(),
+            pool: pool_id.clone(),
+            total_bytes: total,
+            free_bytes: total.saturating_sub(used),
+        });
+    }
+    inv
+}
+
+/// The fabric endpoints of a (possibly bound) node, as the composer looked
+/// them up before it read them from the scan's snapshot.
+fn oracle_endpoints_of(reg: &Registry, node: &ODataId) -> BTreeMap<String, ODataId> {
+    let mut out = BTreeMap::new();
+    for ep_id in oracle_ids_of_type(reg, "#Endpoint.") {
+        let Ok(stored) = reg.get(&ep_id) else { continue };
+        let Some(entities) = stored.body["ConnectedEntities"].as_array() else {
+            continue;
+        };
+        let is_ours = entities
+            .iter()
+            .any(|e| e["EntityRole"] == "Initiator" && e["EntityLink"]["@odata.id"].as_str() == Some(node.as_str()));
+        if is_ours {
+            if let Some(f) = redfish_model::path::fabric_id_of(ep_id.as_str()) {
+                out.insert(f.to_string(), ep_id.clone());
+            }
+        }
+    }
+    out
+}
+
+/// Resources an `UnavailableOffline` mark can land on: device chassis,
+/// memory domains, storage services and pools, and a compute node.
+const MARKABLE: [&str; 9] = [
+    "/redfish/v1/Chassis/mem00",
+    "/redfish/v1/Chassis/mem01/MemoryDomains/dom0",
+    "/redfish/v1/Chassis/mem00/MemoryDomains/dom0",
+    "/redfish/v1/Chassis/gpu00",
+    "/redfish/v1/Chassis/gpu01",
+    "/redfish/v1/StorageServices/nvme00/StoragePools/pool0",
+    "/redfish/v1/StorageServices/nvme01",
+    "/redfish/v1/StorageServices/nvme01/StoragePools/pool0",
+    "/redfish/v1/Systems/cn02",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The single-view scan is a pure performance change: after every step
+    /// of a random history of compose, decompose, grow, attach, GPU grants
+    /// and offline marks (set and cleared), `Inventory::scan` equals the
+    /// clone-per-id reference scan exactly, order included, and the
+    /// snapshot's node endpoints equal the reference lookup.
+    #[test]
+    fn view_scan_matches_clone_per_id_reference(
+        ops in prop::collection::vec((0u64..7, any::<u64>(), 0u64..4096), 1..16),
+    ) {
+        let rig = demo_rig(901);
+        let reg = &rig.ofmf.registry;
+        let composer = Composer::new(Arc::clone(&rig.ofmf), Strategy::BestFit);
+        for (step, &(kind, pick, size)) in ops.iter().enumerate() {
+            let live = composer.compositions();
+            let target = (!live.is_empty()).then(|| &live[pick as usize % live.len()]);
+            match kind {
+                0 => {
+                    let mut req = CompositionRequest::compute_only(&format!("h{step}"), 8, 8)
+                        .with_fabric_memory_mib(size)
+                        .with_gpus((pick % 3) as u32);
+                    if pick % 2 == 0 {
+                        req = req.with_storage_bytes(size << 20);
+                    }
+                    if pick % 5 == 0 {
+                        req = req.with_spread_memory();
+                    }
+                    let _ = composer.compose(&req);
+                }
+                1 => {
+                    if let Some(c) = target {
+                        composer.decompose(&c.system).unwrap();
+                    }
+                }
+                2 => {
+                    if let Some(c) = target {
+                        let _ = composer.grow_memory(&c.system, size + 1);
+                    }
+                }
+                3 => {
+                    if let Some(c) = target {
+                        let _ = composer.attach_storage(&c.system, (size + 1) << 20);
+                    }
+                }
+                _ => {
+                    let id = ODataId::new(MARKABLE[pick as usize % MARKABLE.len()]);
+                    let state = if kind == 6 { "Enabled" } else { "UnavailableOffline" };
+                    reg.patch(&id, &json!({"Status": {"State": state}}), None).unwrap();
+                }
+            }
+            let bound: Vec<ODataId> = composer.compositions().iter().map(|c| c.node.clone()).collect();
+            prop_assert_eq!(Inventory::scan(&rig.ofmf, &bound), oracle_scan(reg, &bound), "step {}", step);
+            prop_assert_eq!(composer.inventory(), oracle_scan(reg, &bound), "step {}", step);
+            for node in &bound {
+                let (inv, endpoints) = Inventory::scan_for_node(&rig.ofmf, node);
+                prop_assert_eq!(inv, oracle_scan(reg, &[]), "step {}", step);
+                prop_assert_eq!(endpoints, oracle_endpoints_of(reg, node), "step {} node {}", step, node);
+            }
+        }
     }
 }

@@ -43,5 +43,5 @@ pub mod status;
 
 pub use error::{RedfishError, RedfishResult};
 pub use odata::{ETag, ODataId, ResourceHeader};
-pub use registry::{Registry, StoredResource};
+pub use registry::{Registry, StoredResource, View};
 pub use status::{Health, State, Status};

@@ -640,21 +640,15 @@ impl Registry {
         out
     }
 
-    /// All ids whose `@odata.type` starts with `type_prefix`
-    /// (e.g. `#Endpoint.` matches every Endpoint version), in path order.
-    pub fn ids_of_type(&self, type_prefix: &str) -> Vec<ODataId> {
-        let guards = self.read_all();
-        let mut out: Vec<ODataId> = guards
-            .iter()
-            .flat_map(|t| {
-                t.nodes
-                    .iter()
-                    .filter(|(_, n)| n.odata_type().is_some_and(|ty| ty.starts_with(type_prefix)))
-                    .map(|(k, _)| k.clone())
-            })
-            .collect();
-        out.sort();
-        out
+    /// Run `f` over a borrowed, consistent read of the whole tree: every
+    /// shard is read-locked once, in ascending order, for the duration of
+    /// the call. `f` must not call back into the registry: the stripe locks
+    /// do not prefer readers, so a nested read behind a queued writer
+    /// deadlocks. The locks also hold writers off, so `f` should be short.
+    pub fn view<R>(&self, f: impl FnOnce(&View<'_>) -> R) -> R {
+        f(&View {
+            guards: self.read_all(),
+        })
     }
 
     /// Verify that every `{"@odata.id": ...}` reference anywhere in the tree
@@ -665,26 +659,20 @@ impl Registry {
     /// whose `OriginOfCondition` may legitimately outlive the resource it
     /// described (a lost connection, a deleted zone).
     pub fn dangling_links(&self) -> Vec<(ODataId, ODataId)> {
-        let guards = self.read_all();
-        let contains = |target: &ODataId| {
-            let idx = (key_hash(shard_key(target.as_str())) as usize) % guards.len();
-            // ofmf-lint: allow(no-panic-path, "idx is reduced mod guards.len() on the line above")
-            guards[idx].nodes.contains_key(target)
-        };
-        let mut dangling = Vec::new();
-        for t in &guards {
-            for (id, node) in &t.nodes {
+        let mut dangling = self.view(|v| {
+            let mut dangling = Vec::new();
+            for (id, node) in v.iter() {
                 if node.odata_type().is_some_and(|ty| ty.starts_with("#LogEntry.")) {
                     continue;
                 }
                 let mut stack = vec![&node.body];
-                while let Some(v) = stack.pop() {
-                    match v {
+                while let Some(val) = stack.pop() {
+                    match val {
                         Value::Object(m) => {
                             if m.len() == 1 {
                                 if let Some(Value::String(target)) = m.get("@odata.id") {
                                     let target_id = ODataId::new(target.as_str());
-                                    if &target_id != id && !contains(&target_id) {
+                                    if &target_id != id && v.get(&target_id).is_none() {
                                         dangling.push((id.clone(), target_id));
                                     }
                                     continue;
@@ -703,7 +691,8 @@ impl Registry {
                     }
                 }
             }
-        }
+            dangling
+        });
         dangling.sort();
         dangling
     }
@@ -712,41 +701,36 @@ impl Registry {
     /// locks held for the duration; `f` must be fast and must not reenter
     /// the registry).
     pub fn for_each<F: FnMut(&ODataId, &StoredResource)>(&self, mut f: F) {
-        let guards = self.read_all();
-        let mut all: Vec<(&ODataId, &StoredResource)> = guards.iter().flat_map(|t| t.nodes.iter()).collect();
-        all.sort_by(|a, b| a.0.cmp(b.0));
-        for (id, node) in all {
-            f(id, node);
-        }
+        self.view(|v| {
+            let mut all: Vec<(&ODataId, &StoredResource)> = v.iter().collect();
+            all.sort_by(|a, b| a.0.cmp(b.0));
+            for (id, node) in all {
+                f(id, node);
+            }
+        });
     }
 
     /// Produce an expanded view of a collection: the collection body with
     /// each member's body inlined (the `$expand` query option). Members may
     /// live in any shard, so this takes a whole-tree read snapshot.
     pub fn expand(&self, id: &ODataId) -> RedfishResult<Value> {
-        let guards = self.read_all();
-        let lookup = |rid: &ODataId| {
-            let idx = (key_hash(shard_key(rid.as_str())) as usize) % guards.len();
-            // ofmf-lint: allow(no-panic-path, "idx is reduced mod guards.len() on the line above")
-            guards[idx].nodes.get(rid)
-        };
-        let node = lookup(id).ok_or_else(|| RedfishError::NotFound(id.clone()))?;
-        if !node.is_collection {
-            return Ok(node.wire_body());
-        }
-        let mut body = node.wire_body();
-        let mut expanded = Vec::new();
-        if let Some(members) = node.body["Members"].as_array() {
-            for m in members {
-                if let Some(mid) = m["@odata.id"].as_str() {
-                    if let Some(child) = lookup(&ODataId::new(mid)) {
+        self.view(|v| {
+            let node = v.get(id).ok_or_else(|| RedfishError::NotFound(id.clone()))?;
+            let mut body = node.wire_body();
+            if !node.is_collection {
+                return Ok(body);
+            }
+            let mut expanded = Vec::new();
+            if let Some(members) = node.body["Members"].as_array() {
+                for m in members {
+                    if let Some(child) = m["@odata.id"].as_str().and_then(|mid| v.get(&ODataId::new(mid))) {
                         expanded.push(child.wire_body());
                     }
                 }
             }
-        }
-        body["Members"] = Value::Array(expanded);
-        Ok(body)
+            body["Members"] = Value::Array(expanded);
+            Ok(body)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -922,6 +906,46 @@ impl WriteSpan<'_> {
     }
 }
 
+/// A borrowed, consistent read of the whole tree, handed out only by
+/// [`Registry::view`]. Every shard stays read-locked while the view lives;
+/// lookups borrow the stored documents instead of cloning them.
+pub struct View<'a> {
+    guards: Vec<RwLockReadGuard<'a, Tree>>,
+}
+
+impl View<'_> {
+    /// The stored resource at `id`, borrowed.
+    pub fn get(&self, id: &ODataId) -> Option<&StoredResource> {
+        let idx = (key_hash(shard_key(id.as_str())) as usize) % self.guards.len();
+        // ofmf-lint: allow(no-panic-path, "idx is reduced mod guards.len() on the line above")
+        self.guards[idx].nodes.get(id)
+    }
+
+    /// Every resource, shard by shard (path order within a shard only).
+    fn iter(&self) -> impl Iterator<Item = (&ODataId, &StoredResource)> {
+        self.guards.iter().flat_map(|t| t.nodes.iter())
+    }
+
+    /// Group the tree by `@odata.type` prefix in one pass: group `i` holds
+    /// every resource whose type starts with `prefixes[i]` (e.g.
+    /// `#Endpoint.` matches every Endpoint version), in path order.
+    pub fn by_type<const N: usize>(&self, prefixes: [&str; N]) -> [Vec<(&ODataId, &StoredResource)>; N] {
+        let mut groups: [Vec<(&ODataId, &StoredResource)>; N] = std::array::from_fn(|_| Vec::new());
+        for (id, node) in self.iter() {
+            let Some(ty) = node.odata_type() else { continue };
+            for (group, prefix) in groups.iter_mut().zip(prefixes) {
+                if ty.starts_with(prefix) {
+                    group.push((id, node));
+                }
+            }
+        }
+        for group in &mut groups {
+            group.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        }
+        groups
+    }
+}
+
 /// Convenience: build a `{"@odata.id": …}` map value.
 pub fn link_value(id: &ODataId) -> Value {
     let mut m = Map::new();
@@ -1078,15 +1102,41 @@ mod tests {
     }
 
     #[test]
-    fn ids_of_type_matches_prefix() {
+    fn view_groups_by_type_prefix() {
         let (r, col) = reg_with_collection();
         r.create(
             &col.child("cn01"),
             json!({"@odata.type": "#ComputerSystem.v1_20_0.ComputerSystem"}),
         )
         .unwrap();
-        let ids = r.ids_of_type("#ComputerSystem.");
-        assert_eq!(ids.len(), 1);
+        let [ids] = r.view(|v| v.by_type(["#ComputerSystem."]).map(|g| g.len()));
+        assert_eq!(ids, 1);
+    }
+
+    #[test]
+    fn view_groups_span_shards_in_path_order() {
+        let (r, col) = reg_with_collection();
+        let chassis = ODataId::new("/redfish/v1/Chassis");
+        r.create_collection(&chassis, "#ChassisCollection.ChassisCollection", "Chassis")
+            .unwrap();
+        for id in [col.child("b"), chassis.child("z"), col.child("a")] {
+            r.create(&id, json!({"@odata.type": "#Processor.v1_0_0.Processor"}))
+                .unwrap();
+        }
+        let (procs, collections, found, missing) = r.view(|v| {
+            let [procs, collections] = v.by_type(["#Processor.", "#ChassisCollection."]);
+            let ids = |g: Vec<(&ODataId, &StoredResource)>| g.into_iter().map(|(id, _)| id.clone()).collect::<Vec<_>>();
+            (
+                ids(procs),
+                ids(collections),
+                v.get(&chassis.child("z")).map(|s| s.etag),
+                v.get(&chassis.child("y")).is_none(),
+            )
+        });
+        assert_eq!(procs, vec![chassis.child("z"), col.child("a"), col.child("b")]);
+        assert_eq!(collections, vec![chassis.clone()]);
+        assert_eq!(found, Some(r.get(&chassis.child("z")).unwrap().etag));
+        assert!(missing);
     }
 
     // ---------------------------------------------------- sharding + cache

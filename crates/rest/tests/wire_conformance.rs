@@ -369,6 +369,41 @@ fn oversized_body_and_headers_get_specific_statuses() {
 }
 
 #[test]
+fn deeply_nested_json_body_gets_400_and_the_server_keeps_answering() {
+    for backend in BACKENDS {
+        let server = boot(backend, 2, 4096);
+
+        // 200 KB of `[` before auth: recursive parsing of this would
+        // overflow a worker's stack and take the whole process down.
+        let body = "[".repeat(200 * 1024);
+        let mut w = Wire::connect(&server);
+        w.send(
+            format!(
+                "POST /redfish/v1/SessionService/Sessions HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .as_bytes(),
+        );
+        let r = w.response();
+        assert_eq!(r.status, 400, "{backend:?}");
+        assert!(
+            r.body_text().contains("Base.1.0.MalformedJSON"),
+            "{backend:?}: {}",
+            r.body_text()
+        );
+
+        // The same connection and a fresh one both still get answers.
+        w.send(get("/redfish/v1").as_bytes());
+        assert_eq!(w.response().status, 200, "{backend:?}");
+        let mut fresh = Wire::connect(&server);
+        fresh.send(get("/redfish/v1").as_bytes());
+        assert_eq!(fresh.response().status, 200, "{backend:?}");
+
+        server.shutdown();
+    }
+}
+
+#[test]
 fn over_cap_connections_are_shed_with_503_retry_after() {
     let server = boot(Backend::Epoll, 1, 2);
     let shed_before = ofmf_obs::counter("ofmf.rest.shed.total").get();

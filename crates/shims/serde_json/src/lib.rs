@@ -125,15 +125,24 @@ fn write_pretty(v: &Value, depth: usize, out: &mut String) {
 
 // ----------------------------------------------------------------- parser
 
+/// Deepest array/object nesting the parser accepts (upstream serde_json's
+/// limit). The parser recurses once per level, so without a cap a body of
+/// `[[[[…` overflows the thread's stack; capped, every `Value` it returns
+/// is shallow enough to drop, print and merge-patch recursively.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 fn parse(s: &str) -> Result<Value> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -177,14 +186,26 @@ impl<'a> Parser<'a> {
             b't' => self.literal("true", Value::Bool(true)),
             b'f' => self.literal("false", Value::Bool(false)),
             b'"' => self.string().map(Value::String),
-            b'[' => self.array(),
-            b'{' => self.object(),
+            b'[' => self.nested(Self::array),
+            b'{' => self.nested(Self::object),
             b'-' | b'0'..=b'9' => self.number(),
             other => Err(Error::msg(format!(
                 "unexpected character {:?} at offset {}",
                 other as char, self.pos
             ))),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::msg(format!("recursion limit exceeded at offset {}", self.pos)));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value> {
@@ -504,6 +525,23 @@ mod tests {
         let text = to_string_pretty(&v).unwrap();
         let back: Value = from_str(&text).unwrap();
         assert_eq!(v, back);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(from_str::<Value>(&deepest).is_ok());
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(from_str::<Value>(&objects).is_ok());
+        for too_deep in [
+            format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1)),
+            format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1)),
+            // A hostile, unterminated 200 KB body: refused, not a stack overflow.
+            "[".repeat(200 * 1024),
+        ] {
+            let err = from_str::<Value>(&too_deep).unwrap_err();
+            assert!(err.to_string().contains("recursion limit"), "{err}");
+        }
     }
 
     #[test]
