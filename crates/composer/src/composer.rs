@@ -110,28 +110,6 @@ impl Composer {
         self
     }
 
-    /// Use the sequential per-candidate probing baseline instead of batched
-    /// parallel probing. Kept for A/B comparison in benches and property
-    /// tests, mirroring `EventService::with_linear_matching`.
-    #[must_use]
-    pub fn with_sequential_probing(mut self) -> Self {
-        self.prober = self.prober.with_sequential_probing();
-        self
-    }
-
-    /// Override the probing engine wholesale (benches swap in hop-count-only
-    /// scoring here).
-    #[must_use]
-    pub fn with_prober(mut self, prober: Prober) -> Self {
-        self.prober = prober;
-        self
-    }
-
-    /// The probing engine (test/bench observation).
-    pub fn prober(&self) -> &Prober {
-        &self.prober
-    }
-
     /// The strategy in use.
     pub fn strategy(&self) -> Strategy {
         self.strategy

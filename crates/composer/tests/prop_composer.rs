@@ -1,15 +1,18 @@
 //! Property tests: policy arithmetic, accounting bounds, the composer's
-//! conservation law (compose ∘ decompose = identity on the inventory), and
-//! the single-view inventory scan against a clone-per-id reference scan.
+//! conservation law (compose ∘ decompose = identity on the inventory),
+//! batched probing against a per-pair probing reference, and the
+//! single-view inventory scan against a clone-per-id reference scan.
 
 use composer::accounting::{composable_outcome, heterogeneous_mix, static_outcome, PowerModel, StaticNodeShape};
 use composer::inventory::{ComputePool, GpuPool, Inventory, MemoryPool, StoragePoolView};
 use composer::policy::PolicySet;
+use composer::probe::{Prober, RouteScore};
 use composer::{Composer, CompositionRequest, Strategy};
 use ofmf_agents::flavors::{cxl_agent, infiniband_agent, nvmeof_agent, RackShape};
+use ofmf_core::agent::{Agent, AgentEvent, AgentInfo, AgentMetric, AgentOp, AgentResponse};
 use proptest::prelude::*;
 use redfish_model::odata::ODataId;
-use redfish_model::Registry;
+use redfish_model::{RedfishError, RedfishResult, Registry};
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -102,17 +105,114 @@ proptest! {
     }
 }
 
+/// The per-pair probing reference: answers each `ProbeRoutes` batch by
+/// sending the inner agent one `ProbeRoute` per pair, in order, and
+/// reassembling the batch reply. The inner agent sees exactly the traffic
+/// of a prober that makes one round-trip per candidate. A `Conflict` (no
+/// healthy route) becomes an `{"Error": …}` entry; the batch fails only if
+/// no pair got an answer.
+struct PerPairProbing {
+    inner: Arc<dyn Agent>,
+}
+
+impl Agent for PerPairProbing {
+    fn info(&self) -> AgentInfo {
+        self.inner.info()
+    }
+
+    fn discover(&self) -> Vec<(ODataId, Value)> {
+        self.inner.discover()
+    }
+
+    fn apply(&self, op: &AgentOp) -> RedfishResult<AgentResponse> {
+        let AgentOp::ProbeRoutes { pairs } = op else {
+            return self.inner.apply(op);
+        };
+        let mut generation = 0;
+        let mut answered = false;
+        let mut last_err = None;
+        let mut results = Vec::with_capacity(pairs.len());
+        for (initiator, target) in pairs {
+            let single = AgentOp::ProbeRoute {
+                initiator: initiator.clone(),
+                target: target.clone(),
+            };
+            match self.inner.apply(&single) {
+                Ok(r) => {
+                    answered = true;
+                    let payload = r.payload.unwrap_or(Value::Null);
+                    if let Some(g) = payload.get("TopologyGeneration").and_then(Value::as_u64) {
+                        generation = g;
+                    }
+                    results.push(payload);
+                }
+                Err(RedfishError::Conflict(msg)) => {
+                    answered = true;
+                    results.push(json!({ "Error": msg }));
+                }
+                Err(e) => {
+                    results.push(json!({ "Error": e.to_string() }));
+                    last_err = Some(e);
+                }
+            }
+        }
+        if let (false, Some(e)) = (answered, last_err) {
+            return Err(e);
+        }
+        Ok(AgentResponse {
+            upserts: vec![],
+            removals: vec![],
+            primary: None,
+            payload: Some(json!({ "TopologyGeneration": generation, "Results": results })),
+        })
+    }
+
+    fn drain_events(&self) -> Vec<AgentEvent> {
+        self.inner.drain_events()
+    }
+
+    fn sample_telemetry(&self) -> Vec<AgentMetric> {
+        self.inner.sample_telemetry()
+    }
+
+    fn heartbeat(&self) -> bool {
+        self.inner.heartbeat()
+    }
+}
+
+/// One candidate pair probed on its own: the score a single `ProbeRoute`
+/// answer yields (`None` when the agent reports no route or fails).
+fn per_pair_score(ofmf: &ofmf_core::Ofmf, fabric: &str, initiator: &ODataId, target: &ODataId) -> Option<RouteScore> {
+    let op = AgentOp::ProbeRoute {
+        initiator: initiator.clone(),
+        target: target.clone(),
+    };
+    let payload = ofmf.apply(fabric, &op).ok()?.payload?;
+    Some(RouteScore {
+        hops: payload.get("Hops")?.as_u64()?,
+        residual_gbps: payload.get("ResidualGbps").and_then(Value::as_f64).unwrap_or(f64::MAX),
+        blast_radius: payload.get("BlastRadius").and_then(Value::as_u64).unwrap_or(0),
+    })
+}
+
 /// Three memory fabrics plus GPUs: one topology-aware choose fans a probe
-/// batch out across all three in parallel.
-fn ab_rig(seed: u64) -> Arc<ofmf_core::Ofmf> {
+/// batch out across all three in parallel. With `per_pair`, every agent is
+/// wrapped in the [`PerPairProbing`] reference.
+fn ab_rig(seed: u64, per_pair: bool) -> Arc<ofmf_core::Ofmf> {
     let ofmf = ofmf_core::Ofmf::new("prop-ab-rig", std::collections::HashMap::new(), seed);
     let shape = RackShape::default();
+    let register = |agent: Arc<dyn Agent>| {
+        let agent = if per_pair {
+            Arc::new(PerPairProbing { inner: agent })
+        } else {
+            agent
+        };
+        ofmf.register_agent(agent).unwrap();
+    };
     for (fid, salt) in [("CXL0", 1u64), ("CXL1", 2), ("CXL2", 3)] {
-        ofmf.register_agent(Arc::new(cxl_agent(fid, &shape, 1 << 20, seed ^ salt)))
-            .unwrap();
+        register(Arc::new(cxl_agent(fid, &shape, 1 << 20, seed ^ salt)));
     }
-    ofmf.register_agent(Arc::new(infiniband_agent("IB0", &shape, "A100", seed ^ 4)))
-        .unwrap();
+    register(Arc::new(infiniband_agent("IB0", &shape, "A100", seed ^ 4)));
     ofmf
 }
 
@@ -122,18 +222,32 @@ proptest! {
 
     /// Batched parallel probing is a pure performance optimization: for any
     /// request mix against twin rigs under the same (uniform) congestion,
-    /// the batched composer and the sequential per-candidate baseline make
-    /// identical placement decisions and leave identical fabric state.
+    /// the batched composer and a composer whose agents answer every batch
+    /// one pair at a time make identical placement decisions and leave
+    /// identical fabric state. Both composers run the same prober, so the
+    /// prober is also checked on its own: after the composes, its batched
+    /// score for every candidate pair, cold and from the warm cache, equals
+    /// a direct `ProbeRoute` to that pair's agent.
     #[test]
-    fn batched_probing_places_like_sequential_baseline(
+    fn batched_probing_places_like_per_pair_reference(
         mems in prop::collection::vec(64u64..2048, 1..5),
         bw in 0.0f64..32.0,
         gpus in 0u32..2,
     ) {
-        let batched = Composer::new(ab_rig(4242), Strategy::TopologyAware);
-        let sequential = Composer::new(ab_rig(4242), Strategy::TopologyAware).with_sequential_probing();
-        prop_assert!(!batched.prober().is_sequential());
-        prop_assert!(sequential.prober().is_sequential());
+        let batched = Composer::new(ab_rig(4242, false), Strategy::TopologyAware);
+        let per_pair = Composer::new(ab_rig(4242, true), Strategy::TopologyAware);
+        // Every candidate pair of the first node, taken before composing
+        // binds the nodes; probed below, after the binds moved residuals.
+        let inv = batched.inventory();
+        let initiators = &inv.compute[0].endpoints;
+        let requests: Vec<(String, ODataId, ODataId)> = inv
+            .memory
+            .iter()
+            .map(|p| (&p.fabric, &p.endpoint))
+            .chain(inv.gpus.iter().map(|g| (&g.fabric, &g.endpoint)))
+            .filter_map(|(f, e)| initiators.get(f).map(|i| (f.clone(), i.clone(), e.clone())))
+            .collect();
+        prop_assert!(!requests.is_empty());
         for (i, &m) in mems.iter().enumerate() {
             let mut req = CompositionRequest::compute_only(&format!("ab{i}"), 8, 8)
                 .with_fabric_memory_mib(m)
@@ -147,11 +261,21 @@ proptest! {
                     .map(|b| (b.fabric.clone(), b.resource.as_str().to_string(), b.size))
                     .collect::<Vec<_>>()
             };
-            match (batched.compose(&req), sequential.compose(&req)) {
+            match (batched.compose(&req), per_pair.compose(&req)) {
                 (Ok(a), Ok(b)) => prop_assert_eq!(key(&a), key(&b), "request {}", i),
                 (Err(a), Err(b)) => prop_assert_eq!(a.http_status(), b.http_status()),
                 (a, b) => prop_assert!(false, "divergent outcomes: {:?} vs {:?}", a.map(|c| key(&c)), b.map(|c| key(&c))),
             }
+        }
+
+        let ofmf = batched.ofmf();
+        let expected: Vec<Option<RouteScore>> =
+            requests.iter().map(|(f, i, t)| per_pair_score(ofmf, f, i, t)).collect();
+        let prober = Prober::new();
+        for pass in ["cold", "warm"] {
+            let (scores, skipped) = prober.probe_pairs(ofmf, &requests);
+            prop_assert!(skipped.is_empty(), "{} probe skipped {:?}", pass, skipped);
+            prop_assert_eq!(&scores, &expected, "{} probe", pass);
         }
     }
 

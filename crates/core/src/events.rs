@@ -18,8 +18,7 @@
 //!   subscribers instead of scanning every subscription. Subscriptions with
 //!   no origin filter (or a filter at/above the service root) land in a
 //!   per-type wildcard list. The index is maintained incrementally on
-//!   subscribe/unsubscribe; [`EventService::with_linear_matching`] restores
-//!   the old full-scan behavior for A/B benchmarking.
+//!   subscribe/unsubscribe.
 //! * **Shared zero-copy batches.** One fan-out allocates a single
 //!   `Arc<[EventRecord]>` plus a single lazily-serialized wire body
 //!   ([`SharedEventBody`]); every subscriber's queue receives a cheap
@@ -67,7 +66,7 @@ struct EventMetrics {
     /// indexed fan-outs (match checks actually performed).
     index_candidates: Arc<Counter>,
     /// `ofmf.events.index.skipped.total` — subscriptions the index proved
-    /// irrelevant without a match check (the scan work saved vs linear).
+    /// irrelevant without a match check (the scan work a full scan would do).
     index_skipped: Arc<Counter>,
 }
 
@@ -240,8 +239,6 @@ pub struct EventService {
     next_sub: AtomicU64,
     next_event: AtomicU64,
     queue_depth: usize,
-    /// Ablation switch: scan every subscription instead of the index.
-    linear: bool,
     /// Durability journal. Subscribe/unsubscribe records are appended while
     /// the subscription-table lock is held, so replay order matches live
     /// order. Lock order: subs → WAL file mutex (leaf).
@@ -257,7 +254,6 @@ impl EventService {
             next_sub: AtomicU64::new(1),
             next_event: AtomicU64::new(1),
             queue_depth: DEFAULT_QUEUE_DEPTH,
-            linear: false,
             journal: RwLock::new(None),
         }
     }
@@ -276,14 +272,6 @@ impl EventService {
     /// Override the per-subscription queue depth (before subscribing).
     pub fn with_queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth;
-        self
-    }
-
-    /// Disable the routing index: fan-out scans every subscription, exactly
-    /// as before the index existed. For A/B benchmarking and equivalence
-    /// tests; delivery semantics are identical.
-    pub fn with_linear_matching(mut self) -> Self {
-        self.linear = true;
         self
     }
 
@@ -484,32 +472,23 @@ impl EventService {
         // Subscribers whose accumulated losses crossed the alert threshold
         // during this fan-out; announced after the read lock is released.
         let mut newly_lossy: Vec<String> = Vec::new();
-        if self.linear {
-            for sub in subs.by_id.values() {
-                if !sub.dest.matches(event_type, origin) {
-                    continue;
-                }
-                self.deliver(sub, &records, &shared, &mut delivered, &mut newly_lossy);
+        // ofmf-lint: allow(no-panic-path, "type_index maps the 6 EventType variants to 0..6, the bucket count")
+        let bucket = &subs.index.buckets[type_index(event_type)];
+        let keyed = bucket
+            .by_origin
+            .get(origin_key(origin.as_str()))
+            .map(Vec::as_slice)
+            .unwrap_or(&[]);
+        let mut candidates = 0u64;
+        for sub in keyed.iter().chain(bucket.any_origin.iter()) {
+            candidates += 1;
+            if !sub.dest.matches(event_type, origin) {
+                continue;
             }
-        } else {
-            // ofmf-lint: allow(no-panic-path, "type_index maps the 6 EventType variants to 0..6, the bucket count")
-            let bucket = &subs.index.buckets[type_index(event_type)];
-            let keyed = bucket
-                .by_origin
-                .get(origin_key(origin.as_str()))
-                .map(Vec::as_slice)
-                .unwrap_or(&[]);
-            let mut candidates = 0u64;
-            for sub in keyed.iter().chain(bucket.any_origin.iter()) {
-                candidates += 1;
-                if !sub.dest.matches(event_type, origin) {
-                    continue;
-                }
-                self.deliver(sub, &records, &shared, &mut delivered, &mut newly_lossy);
-            }
-            metrics.index_candidates.add(candidates);
-            metrics.index_skipped.add(subs.by_id.len() as u64 - candidates);
+            self.deliver(sub, &records, &shared, &mut delivered, &mut newly_lossy);
         }
+        metrics.index_candidates.add(candidates);
+        metrics.index_skipped.add(subs.by_id.len() as u64 - candidates);
         drop(subs);
         for id in newly_lossy {
             self.alert_lossy_subscriber(&id);
@@ -701,36 +680,6 @@ mod tests {
         assert_eq!(rx.len(), 2);
         svc.publish(EventType::Alert, &ODataId::new("/redfish/v1/Chassis/c0"), "z", "OK");
         assert_eq!(rx.len(), 2, "unrelated segment filtered out");
-    }
-
-    #[test]
-    fn linear_matching_is_equivalent() {
-        let reg = Registry::new();
-        bootstrap(&reg, "u").unwrap();
-        let svc = EventService::new(Arc::new(Clock::manual())).with_linear_matching();
-        let (_, rx_f) = svc
-            .subscribe(
-                &reg,
-                "channel://f",
-                vec![EventType::Alert],
-                vec![ODataId::new("/redfish/v1/Fabrics/CXL0")],
-            )
-            .unwrap();
-        let (_, rx_all) = svc.subscribe(&reg, "channel://all", vec![], vec![]).unwrap();
-        svc.publish(
-            EventType::Alert,
-            &ODataId::new("/redfish/v1/Fabrics/CXL0/Switches/s"),
-            "m",
-            "OK",
-        );
-        svc.publish(
-            EventType::ResourceAdded,
-            &ODataId::new("/redfish/v1/Systems/x"),
-            "n",
-            "OK",
-        );
-        assert_eq!(rx_f.len(), 1);
-        assert_eq!(rx_all.len(), 2);
     }
 
     #[test]

@@ -43,10 +43,10 @@ use ofmf_wal::{Wal, WalRecord};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use serde_json::{json, Map, Value};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Default number of lock stripes. Top-level Redfish collections are few
+/// Number of lock stripes. Top-level Redfish collections are few
 /// (a dozen or so), so 16 stripes keep collisions rare without bloating the
 /// lock table.
 pub const DEFAULT_SHARDS: usize = 16;
@@ -155,10 +155,9 @@ fn spans_all_shards(id: &ODataId) -> bool {
 /// as well.
 #[derive(Debug)]
 pub struct Registry {
-    shards: Vec<Shard>,
+    shards: [Shard; DEFAULT_SHARDS],
     /// Next ETag value; registry-unique and monotonically increasing.
     etag_seq: AtomicU64,
-    cache_enabled: AtomicBool,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     /// Optional write-ahead journal. Mutations append their logical record
@@ -170,30 +169,21 @@ pub struct Registry {
 
 impl Default for Registry {
     fn default() -> Self {
-        Registry::with_shards(DEFAULT_SHARDS)
-    }
-}
-
-impl Registry {
-    /// An empty registry with the default stripe count (no service root;
-    /// see `ofmf-core` for bootstrap).
-    pub fn new() -> Self {
-        Registry::default()
-    }
-
-    /// An empty registry with an explicit stripe count (`1` degenerates to
-    /// the old single-global-lock behaviour; used by benchmarks to measure
-    /// the sharding win).
-    pub fn with_shards(n: usize) -> Self {
-        let n = n.max(1);
         Registry {
-            shards: (0..n).map(|_| Shard::default()).collect(),
+            shards: std::array::from_fn(|_| Shard::default()),
             etag_seq: AtomicU64::new(1),
-            cache_enabled: AtomicBool::new(true),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             journal: RwLock::new(None),
         }
+    }
+}
+
+impl Registry {
+    /// An empty registry with [`DEFAULT_SHARDS`] stripes (no service root;
+    /// see `ofmf-core` for bootstrap).
+    pub fn new() -> Self {
+        Registry::default()
     }
 
     /// Attach (or detach) the write-ahead journal. Attach *after* replay:
@@ -212,22 +202,6 @@ impl Registry {
         }
     }
 
-    /// Number of lock stripes.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Enable or disable the serialized wire-body cache (benchmarks ablate
-    /// it; disabling also drops all cached bytes).
-    pub fn set_wire_cache(&self, enabled: bool) {
-        self.cache_enabled.store(enabled, Ordering::Release);
-        if !enabled {
-            for s in &self.shards {
-                s.wire.write().clear();
-            }
-        }
-    }
-
     /// `(hits, misses)` of the wire-body cache since boot.
     pub fn wire_cache_stats(&self) -> (u64, u64) {
         (
@@ -239,7 +213,7 @@ impl Registry {
     }
 
     fn shard_of(&self, id: &ODataId) -> usize {
-        (key_hash(shard_key(id.as_str())) as usize) % self.shards.len()
+        (key_hash(shard_key(id.as_str())) as usize) % DEFAULT_SHARDS
     }
 
     fn next_etag(&self) -> ETag {
@@ -418,36 +392,30 @@ impl Registry {
     pub fn wire_bytes(&self, id: &ODataId) -> RedfishResult<(Arc<[u8]>, ETag)> {
         // ofmf-lint: allow(no-panic-path, "shard_of reduces the hash mod shards.len()")
         let shard = &self.shards[self.shard_of(id)];
-        let cache_on = self.cache_enabled.load(Ordering::Acquire);
         let t = shard.tree.read();
         let node = t.nodes.get(id).ok_or_else(|| RedfishError::NotFound(id.clone()))?;
         let etag = node.etag;
-        if cache_on {
-            if let Some((v, cached)) = shard.wire.read().get(id) {
-                if *v == etag.0 {
-                    self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok((Arc::clone(cached), etag));
-                }
+        if let Some((v, cached)) = shard.wire.read().get(id) {
+            if *v == etag.0 {
+                self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                return Ok((Arc::clone(cached), etag));
             }
         }
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
         let bytes: Arc<[u8]> = serde_json::to_vec(&node.wire_body())
             .map_err(|e| RedfishError::Internal(format!("serialize {id}: {e}")))?
             .into();
-        if cache_on {
-            // Inserted while still holding the tree read lock: delete and
-            // delete_subtree take the tree write lock before they uncache(),
-            // so they cannot interleave between the existence check above
-            // and this insert — the cache never accumulates entries for
-            // deleted ids. Lock order (tree before wire) matches the hit
-            // path above; no path acquires the tree lock while holding the
-            // wire lock.
-            let mut wire = shard.wire.write();
-            if wire.len() >= WIRE_CACHE_CAP && !wire.contains_key(id) {
-                wire.clear();
-            }
-            wire.insert(id.clone(), (etag.0, Arc::clone(&bytes)));
+        // Inserted while still holding the tree read lock: delete and
+        // delete_subtree take the tree write lock before they uncache(), so
+        // they cannot interleave between the existence check above and this
+        // insert — the cache never accumulates entries for deleted ids. Lock
+        // order (tree before wire) matches the hit path above; no path
+        // acquires the tree lock while holding the wire lock.
+        let mut wire = shard.wire.write();
+        if wire.len() >= WIRE_CACHE_CAP && !wire.contains_key(id) {
+            wire.clear();
         }
+        wire.insert(id.clone(), (etag.0, Arc::clone(&bytes)));
         Ok((bytes, etag))
     }
 
@@ -1154,18 +1122,6 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_registry_still_works() {
-        let r = Registry::with_shards(1);
-        let root = ODataId::new("/redfish/v1");
-        r.create(&root, json!({"Name": "root"})).unwrap();
-        let col = root.child("Systems");
-        r.create_collection(&col, "#C.C", "Systems").unwrap();
-        r.create(&col.child("a"), json!({"Name": "a"})).unwrap();
-        assert_eq!(r.members(&col).unwrap().len(), 1);
-        assert_eq!(r.shard_count(), 1);
-    }
-
-    #[test]
     fn wire_bytes_hits_cache_until_mutation() {
         let (r, col) = reg_with_collection();
         let id = col.child("cn01");
@@ -1198,18 +1154,6 @@ mod tests {
         let (bytes, _) = r.wire_bytes(&id).unwrap();
         let v: Value = serde_json::from_slice(&bytes).unwrap();
         assert_eq!(v["Name"], "new");
-    }
-
-    #[test]
-    fn wire_cache_can_be_disabled() {
-        let (r, col) = reg_with_collection();
-        let id = col.child("cn01");
-        r.create(&id, json!({"Name": "a"})).unwrap();
-        r.set_wire_cache(false);
-        let (b1, _) = r.wire_bytes(&id).unwrap();
-        let (b2, _) = r.wire_bytes(&id).unwrap();
-        assert!(!Arc::ptr_eq(&b1, &b2), "cache disabled → fresh serialization");
-        r.set_wire_cache(true);
     }
 
     #[test]

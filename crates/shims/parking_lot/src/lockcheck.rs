@@ -212,14 +212,6 @@ thread_local! {
     static SITE_CACHE: RefCell<HashMap<SiteKey, &'static SiteStats>> = RefCell::new(HashMap::new());
 }
 
-/// Whether hold-time profiling is live. Off only when
-/// `OFMF_LOCKCHECK_HOLD=0`, so the `rest_throughput` ablation can isolate
-/// the profiler's own cost inside an instrumented build.
-fn hold_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var("OFMF_LOCKCHECK_HOLD").map_or(true, |v| v != "0"))
-}
-
 fn site_stats(loc: &'static Location<'static>, mode: Mode) -> &'static SiteStats {
     let key: SiteKey = (loc.file(), loc.line());
     SITE_CACHE.with(|cache| {
@@ -459,14 +451,14 @@ pub(crate) fn before_blocking(id: u64, mode: Mode) {
 }
 
 /// Token holding a lock's membership in the per-thread held set; dropped
-/// by the guard wrapper when the lock is released. When hold-time
-/// profiling is live it also carries the acquisition instant and the
-/// site's stats slot, so the drop records the hold duration.
+/// by the guard wrapper when the lock is released. It also carries the
+/// acquisition instant and the site's stats slot, so the drop records the
+/// hold duration.
 #[derive(Debug)]
 pub struct HeldToken {
     id: u64,
-    since: Option<Instant>,
-    stats: Option<&'static SiteStats>,
+    since: Instant,
+    stats: &'static SiteStats,
 }
 
 impl std::fmt::Debug for SiteStats {
@@ -481,20 +473,17 @@ pub(crate) fn acquired(id: u64, mode: Mode) -> HeldToken {
     let loc = Location::caller();
     let site = Site { loc, mode };
     HELD.with(|held| held.borrow_mut().push((id, site)));
-    let (since, stats) = if hold_enabled() {
-        (Some(Instant::now()), Some(site_stats(loc, mode)))
-    } else {
-        (None, None)
-    };
-    HeldToken { id, since, stats }
+    HeldToken {
+        id,
+        since: Instant::now(),
+        stats: site_stats(loc, mode),
+    }
 }
 
 impl Drop for HeldToken {
     fn drop(&mut self) {
-        if let (Some(since), Some(stats)) = (self.since, self.stats) {
-            let ns = u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            stats.record_hold(ns);
-        }
+        let ns = u64::try_from(self.since.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.stats.record_hold(ns);
         // Guards can be dropped out of acquisition order; remove the most
         // recent entry for this id rather than assuming LIFO.
         let _ = HELD.try_with(|held| {
