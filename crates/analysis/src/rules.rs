@@ -46,8 +46,8 @@
 //!   spans) must state the global acquisition order that makes it safe.
 //! * **`no-blocking-while-locked`** — file I/O, `Clock::wait_ms`, channel
 //!   `recv`/`send` and blocking waits are forbidden while a shim lock
-//!   guard is statically live; intentional holds (WAL group-commit fsync)
-//!   carry a reasoned escape, which also excuses the matching runtime
+//!   guard is statically live; intentional holds (the WAL's `always`
+//!   per-record fsync) carry a reasoned escape, which also excuses the matching runtime
 //!   sanitizer violation during `--lock-audit`.
 
 use crate::scan::FileScan;

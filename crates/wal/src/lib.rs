@@ -25,10 +25,13 @@
 //! ## Group commit
 //!
 //! All appends funnel through one mutex-guarded file handle; a batch of
-//! records is framed into a single `write(2)`. The [`FsyncPolicy`]
-//! decides when the file is additionally fsynced: `Always` (every
-//! append), `Batch(ms)` (at most one fsync per window — bounded loss on
-//! power failure, none on process crash), or `Off` (no explicit fsync).
+//! records is framed into a single `write(2)` before `append` returns, so
+//! an acknowledged record survives a process crash under every policy.
+//! The [`FsyncPolicy`] decides when the file is additionally fsynced:
+//! `Always` (inline, before every append returns), `Batch(ms)` (by one
+//! flusher thread per [`Wal`], at most once per window and with no lock
+//! held, also after writes stop — bounded loss on power failure), or
+//! `Off` (no explicit fsync).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,23 +42,28 @@ mod record;
 pub use frame::{crc32, encode_frame, scan_frames, FrameInfo, FRAME_HEADER, MAX_FRAME_PAYLOAD};
 pub use record::WalRecord;
 
-use ofmf_obs::Counter;
+use ofmf_obs::{Counter, Gauge, Histogram};
 use parking_lot::Mutex;
 use serde_json::Value;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
-use std::time::Instant;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// When the journal file is additionally `fsync`ed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// fsync after every append: no loss even on power failure.
     Always,
-    /// At most one fsync per window of this many milliseconds: every
-    /// append still reaches the kernel (survives a process crash), and a
-    /// power failure loses at most one window of mutations.
+    /// Group commit: every append still reaches the kernel before it
+    /// returns (survives a process crash), and a flusher thread fsyncs
+    /// the dirty segment at most once per window of this many
+    /// milliseconds, also after writes stop, so a power failure loses at
+    /// most one window plus one fsync of mutations. `Batch(0)` fsyncs
+    /// inline like `Always`.
     Batch(u64),
     /// Never fsync explicitly: appends reach the kernel per write, but
     /// nothing forces them to stable storage.
@@ -98,9 +106,38 @@ pub struct Replay {
 }
 
 struct Inner {
-    log: File,
+    /// Shared so the flusher can fsync the segment outside the lock.
+    log: Arc<File>,
     log_bytes: u64,
-    last_sync_ms: u64,
+    /// Bytes written since open, across segments.
+    written: u64,
+    /// The `written` mark covered by the last successful fsync.
+    synced: u64,
+}
+
+/// The fsync-side metrics, shared with the flusher thread.
+#[derive(Clone)]
+struct SyncStats {
+    fsyncs: Arc<Counter>,
+    errors: Arc<Counter>,
+    latency: Arc<Histogram>,
+    unsynced: Arc<Gauge>,
+}
+
+impl SyncStats {
+    /// Run one fsync, timing it into `ofmf.wal.fsync.latency_ns`.
+    fn timed(&self, sync: impl FnOnce() -> io::Result<()>) -> io::Result<()> {
+        let started = Instant::now();
+        let res = sync();
+        self.latency.record_duration(started.elapsed());
+        res
+    }
+}
+
+/// The `Batch` flusher thread; dropping `stop` wakes it for a final sync.
+struct Flusher {
+    stop: mpsc::Sender<()>,
+    thread: JoinHandle<()>,
 }
 
 impl std::fmt::Debug for Wal {
@@ -113,23 +150,26 @@ impl std::fmt::Debug for Wal {
 }
 
 /// The write-ahead journal: one per OFMF instance, shared by every
-/// subsystem through `Arc<Wal>`.
+/// subsystem through `Arc<Wal>`. Under `Batch(ms)` it owns one
+/// `ofmf-wal-flush` thread, stopped and joined when the `Wal` drops.
 pub struct Wal {
     dir: PathBuf,
     policy: FsyncPolicy,
-    opened: Instant,
     /// Append path: a leaf lock — nothing is acquired while holding it.
-    inner: Mutex<Inner>,
+    /// Shared with the flusher, which holds it only to read the dirty
+    /// mark and to record a finished fsync.
+    inner: Arc<Mutex<Inner>>,
     /// Serializes snapshot/replay against each other; ordered before
     /// `inner` and before any registry lock taken by a collect closure.
     snap: Mutex<()>,
     appends: Arc<Counter>,
     bytes: Arc<Counter>,
-    fsyncs: Arc<Counter>,
     replayed: Arc<Counter>,
     torn_tail: Arc<Counter>,
     snapshots: Arc<Counter>,
-    errors: Arc<Counter>,
+    stats: SyncStats,
+    /// Present only under `Batch(ms)` with `ms > 0`.
+    flusher: Option<Flusher>,
 }
 
 const LOG_FILE: &str = "wal.log";
@@ -150,23 +190,41 @@ impl Wal {
         let log_path = dir.join(LOG_FILE);
         let log = OpenOptions::new().create(true).append(true).open(&log_path)?;
         let log_bytes = log.metadata()?.len();
+        let inner = Arc::new(Mutex::new(Inner {
+            log: Arc::new(log),
+            log_bytes,
+            written: 0,
+            synced: 0,
+        }));
+        let stats = SyncStats {
+            fsyncs: ofmf_obs::counter("ofmf.wal.fsyncs.total"),
+            errors: ofmf_obs::counter("ofmf.wal.errors.total"),
+            latency: ofmf_obs::histogram("ofmf.wal.fsync.latency_ns"),
+            unsynced: ofmf_obs::gauge("ofmf.wal.unsynced.bytes"),
+        };
+        let flusher = match policy {
+            FsyncPolicy::Batch(ms) if ms > 0 => {
+                let (stop, stopped) = mpsc::channel();
+                let (inner, stats) = (Arc::clone(&inner), stats.clone());
+                let thread = std::thread::Builder::new()
+                    .name("ofmf-wal-flush".to_string())
+                    .spawn(move || flush_loop(&inner, &stats, Duration::from_millis(ms), &stopped))?;
+                Some(Flusher { stop, thread })
+            }
+            _ => None,
+        };
         Ok(Wal {
             dir,
             policy,
-            opened: Instant::now(),
-            inner: Mutex::new(Inner {
-                log,
-                log_bytes,
-                last_sync_ms: 0,
-            }),
+            inner,
             snap: Mutex::new(()),
             appends: ofmf_obs::counter("ofmf.wal.appends.total"),
             bytes: ofmf_obs::counter("ofmf.wal.bytes.total"),
-            fsyncs: ofmf_obs::counter("ofmf.wal.fsyncs.total"),
             replayed: ofmf_obs::counter("ofmf.wal.replayed.total"),
             torn_tail: ofmf_obs::counter("ofmf.wal.torn_tail.total"),
             snapshots: ofmf_obs::counter("ofmf.wal.snapshot.total"),
-            errors: ofmf_obs::counter("ofmf.wal.errors.total"),
+            stats,
+            flusher,
         })
     }
 
@@ -194,8 +252,12 @@ impl Wal {
         self.inner.lock().log_bytes
     }
 
-    fn now_ms(&self) -> u64 {
-        self.opened.elapsed().as_millis() as u64
+    /// Bytes written to the kernel but not yet covered by a successful
+    /// fsync. Always 0 after an `Always` append returns; under `Batch(ms)`
+    /// it drains to 0 within about one window plus one fsync.
+    pub fn unsynced_bytes(&self) -> u64 {
+        let inner = self.inner.lock();
+        inner.written - inner.synced
     }
 
     /// Append one record (group-committed per the fsync policy).
@@ -216,16 +278,13 @@ impl Wal {
         let mut inner = self.inner.lock();
         #[cfg(feature = "lockcheck")]
         parking_lot::blocking_op("wal.file.write");
-        inner.log.write_all(&buf)?; // ofmf-lint: allow(no-blocking-while-locked, "group commit: the inner mutex is the append serialization point; the buffer is bounded")
+        (&*inner.log).write_all(&buf)?; // ofmf-lint: allow(no-blocking-while-locked, "group commit: the inner mutex is the append serialization point; the buffer is bounded")
         inner.log_bytes += buf.len() as u64;
+        inner.written += buf.len() as u64;
         self.appends.add(recs.len() as u64);
         self.bytes.add(buf.len() as u64);
-        let due = match self.policy {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::Batch(ms) => self.now_ms().saturating_sub(inner.last_sync_ms) >= ms,
-            FsyncPolicy::Off => false,
-        };
-        if due {
+        // `Batch(ms > 0)` leaves the dirty segment to the flusher thread.
+        if matches!(self.policy, FsyncPolicy::Always | FsyncPolicy::Batch(0)) {
             self.sync(&mut inner)?;
         }
         Ok(())
@@ -234,10 +293,10 @@ impl Wal {
     fn sync(&self, inner: &mut Inner) -> io::Result<()> {
         #[cfg(feature = "lockcheck")]
         parking_lot::blocking_op("wal.file.fsync");
-        // ofmf-wal: policy — the one durability point of the append path
-        inner.log.sync_data()?; // ofmf-lint: allow(no-blocking-while-locked, "the WAL's single durability point: every journaling caller fsyncs inside its own lock scope by design")
-        self.fsyncs.inc();
-        inner.last_sync_ms = self.now_ms();
+        // ofmf-wal: policy — `always` (and explicit flush): durable before the caller's lock scope ends
+        self.stats.timed(|| inner.log.sync_data())?; // ofmf-lint: allow(no-blocking-while-locked, "the `always` policy's per-record fsync: a journaling caller acks only after the record is durable, inside its own lock scope; `batch` fsyncs on the flusher thread instead")
+        self.stats.fsyncs.inc();
+        inner.synced = inner.written;
         Ok(())
     }
 
@@ -248,14 +307,14 @@ impl Wal {
     /// availability.
     pub fn record(&self, rec: &WalRecord) {
         if self.append(rec).is_err() {
-            self.errors.inc();
+            self.stats.errors.inc();
         }
     }
 
     /// Batch form of [`Wal::record`].
     pub fn record_many(&self, recs: &[WalRecord]) {
         if self.append_many(recs).is_err() {
-            self.errors.inc();
+            self.stats.errors.inc();
         }
     }
 
@@ -289,12 +348,12 @@ impl Wal {
         let mut f = File::create(&tmp)?; // ofmf-lint: allow(no-blocking-while-locked, "snapshot collection holds only the snap mutex, taken by no hot path")
         f.write_all(&buf)?;
         // ofmf-wal: policy — the rename below must publish a fully durable snapshot
-        f.sync_all()?; // ofmf-lint: allow(no-blocking-while-locked, "durability point: the rename below must publish a fully durable snapshot")
+        self.stats.timed(|| f.sync_all())?; // ofmf-lint: allow(no-blocking-while-locked, "durability point: the rename below must publish a fully durable snapshot")
         drop(f);
         std::fs::rename(&tmp, self.snapshot_path())?; // ofmf-lint: allow(no-blocking-while-locked, "atomic publish of the snapshot under the snap mutex only")
         if let Ok(d) = File::open(&self.dir) {
             // ofmf-wal: policy — make the rename itself durable before dropping the old segment
-            let _ = d.sync_all(); // ofmf-lint: allow(no-blocking-while-locked, "make the rename durable before dropping the old segment")
+            let _ = self.stats.timed(|| d.sync_all()); // ofmf-lint: allow(no-blocking-while-locked, "make the rename durable before dropping the old segment")
         }
         let _ = std::fs::remove_file(self.old_path()); // ofmf-lint: allow(no-blocking-while-locked, "old segment removal after the snapshot superseded it")
         self.snapshots.inc();
@@ -308,11 +367,11 @@ impl Wal {
         #[cfg(feature = "lockcheck")]
         parking_lot::blocking_op("wal.file.rotate");
         // ofmf-wal: policy — seal the segment before the snapshot supersedes it
-        inner.log.sync_data()?; // ofmf-lint: allow(no-blocking-while-locked, "segment seal: rotation must not interleave with appends")
+        self.stats.timed(|| inner.log.sync_data())?; // ofmf-lint: allow(no-blocking-while-locked, "segment seal: rotation must not interleave with appends")
+        inner.synced = inner.written;
         std::fs::rename(self.log_path(), self.old_path())?; // ofmf-lint: allow(no-blocking-while-locked, "segment rotation under the append mutex by design")
-        inner.log = OpenOptions::new().create(true).append(true).open(self.log_path())?;
+        inner.log = Arc::new(OpenOptions::new().create(true).append(true).open(self.log_path())?);
         inner.log_bytes = 0;
-        inner.last_sync_ms = self.now_ms();
         Ok(())
     }
 
@@ -361,12 +420,68 @@ impl Wal {
                 let f = OpenOptions::new().write(true).open(path)?; // ofmf-lint: allow(no-blocking-while-locked, "torn-tail truncation during replay, before any concurrent appender exists")
                 f.set_len(valid_len as u64)?;
                 // ofmf-wal: policy — persist the tail truncation before serving new appends
-                f.sync_all()?; // ofmf-lint: allow(no-blocking-while-locked, "persist the tail truncation before serving new appends")
+                self.stats.timed(|| f.sync_all())?; // ofmf-lint: allow(no-blocking-while-locked, "persist the tail truncation before serving new appends")
                 inner.log_bytes = valid_len as u64;
             }
         }
         out.extend(decoded);
         Ok(u64::from(torn))
+    }
+}
+
+impl Drop for Wal {
+    /// Wake the flusher for a final sync of a dirty tail, then join it. A
+    /// flusher that panicked stopped syncing: count it as a journal error.
+    fn drop(&mut self) {
+        if let Some(Flusher { stop, thread }) = self.flusher.take() {
+            drop(stop);
+            if thread.join().is_err() {
+                self.stats.errors.inc();
+            }
+        }
+    }
+}
+
+/// The `Batch` group-commit loop: wake once per `window`, fsync the
+/// segment if it is dirty, and once the `Wal` drops its sender do one
+/// last sync and exit. The thread owns clones of `inner` and the stats,
+/// never the `Wal`, so dropping the last `Wal` handle is what stops it.
+fn flush_loop(inner: &Mutex<Inner>, stats: &SyncStats, window: Duration, stop: &mpsc::Receiver<()>) {
+    let mut tick = Instant::now();
+    loop {
+        let stopping = !matches!(
+            stop.recv_timeout(window.saturating_sub(tick.elapsed())),
+            Err(RecvTimeoutError::Timeout)
+        );
+        tick = Instant::now();
+        sync_dirty(inner, stats);
+        if stopping {
+            return;
+        }
+    }
+}
+
+/// One flusher tick: sample the unsynced gauge, and if the segment is
+/// dirty fsync it with no lock held. A failed fsync counts as a journal
+/// error and leaves the segment dirty for the next tick.
+fn sync_dirty(inner: &Mutex<Inner>, stats: &SyncStats) {
+    let (log, target) = {
+        let inner = inner.lock();
+        let dirty = inner.written - inner.synced;
+        stats.unsynced.set(i64::try_from(dirty).unwrap_or(i64::MAX));
+        if dirty == 0 {
+            return;
+        }
+        (Arc::clone(&inner.log), inner.written)
+    };
+    // ofmf-wal: policy — `batch:<ms>` group commit, off the append path and outside every lock
+    match stats.timed(|| log.sync_data()) {
+        Ok(()) => {
+            stats.fsyncs.inc();
+            let mut inner = inner.lock();
+            inner.synced = inner.synced.max(target);
+        }
+        Err(_) => stats.errors.inc(),
     }
 }
 

@@ -14,7 +14,8 @@
 //!   tree [PREFIX]            walk collections breadth-first from PREFIX
 //!   stats                    service health summary from the live metrics
 //!   wal-status               durability journal counters (appends, fsyncs,
-//!                            replays, torn tails, snapshots)
+//!                            fsync latency, unsynced bytes, replays, torn
+//!                            tails, snapshots)
 //!   lock-report              lockcheck hold-time/contention/blocking summary
 //!                            (ofmfd built with --features lockcheck)
 //!   trace ID                 render a flight-recorder span tree (self-time,
@@ -257,7 +258,16 @@ fn wal_status(client: &mut HttpClient) -> Result<(), String> {
         get("ofmf.wal.appends.total"),
         get("ofmf.wal.bytes.total")
     );
-    println!("fsyncs:        {:.0}", get("ofmf.wal.fsyncs.total"));
+    println!(
+        "fsyncs:        {:.0} (latency p50 {:.3} ms, p99 {:.3} ms)",
+        get("ofmf.wal.fsyncs.total"),
+        get("ofmf.wal.fsync.latency_ns.p50") / 1e6,
+        get("ofmf.wal.fsync.latency_ns.p99") / 1e6
+    );
+    println!(
+        "unsynced:      {:.0} bytes at the flusher's last tick",
+        get("ofmf.wal.unsynced.bytes")
+    );
     println!("replayed:      {:.0} records at boot", get("ofmf.wal.replayed.total"));
     println!("torn tails:    {:.0} truncated", get("ofmf.wal.torn_tail.total"));
     println!("snapshots:     {:.0} written", get("ofmf.wal.snapshot.total"));

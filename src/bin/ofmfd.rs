@@ -11,7 +11,11 @@
 //!
 //! With `--wal-dir`, every control-plane mutation is journaled to a
 //! write-ahead log and the daemon resumes from it after a restart
-//! (`--fsync` trades durability for latency; default `batch:5`).
+//! (`--fsync` trades durability for latency; default `batch:5`). Every
+//! acknowledged mutation has reached the kernel; `always` also fsyncs it
+//! before the ack, and `batch:<ms>` leaves the fsync to a flusher thread
+//! that syncs at most once per window, also after writes stop, so a
+//! power failure loses at most `ms` plus one fsync of writes.
 //!
 //! Example session:
 //!
